@@ -224,7 +224,7 @@ int run(bool smoke) {
   const std::size_t eco_size = smoke ? 2 : 5;
   apply_small_eco(*refit_stack, eco_size, 1234);
   t0 = now_ms();
-  session.refit();
+  const MgbaFlowResult warm = session.refit();
   const double warm_refit_ms = now_ms() - t0;
   const RefitStats stats = session.stats();
 
@@ -235,14 +235,16 @@ int run(bool smoke) {
 
   std::printf(
       "refit: cold fit %.1f ms, warm refit %.1f ms (%.2fx vs cold rebuild "
-      "%.1f ms), %zu/%zu rows re-evaluated (%.2f%%), cone %zu nodes\n",
+      "%.1f ms), %zu/%zu rows re-evaluated (%.2f%%), cone %zu nodes, "
+      "block solve %zu cols x %zu rows in %.1f ms\n",
       cold_fit_ms, warm_refit_ms, cold_refit_ms / warm_refit_ms,
       cold_refit_ms, stats.rows_reevaluated, stats.rows_total,
       stats.rows_total == 0
           ? 0.0
           : 100.0 * static_cast<double>(stats.rows_reevaluated) /
                 static_cast<double>(stats.rows_total),
-      stats.cone_nodes);
+      stats.cone_nodes, stats.free_cols, stats.active_rows,
+      1000.0 * warm.solve_seconds);
 
   if (smoke) {
     std::printf(identical ? "smoke OK: sparse/dense/threads bit-identical\n"
@@ -286,7 +288,11 @@ int run(bool smoke) {
   std::fprintf(out, "    \"rows_total\": %zu,\n", stats.rows_total);
   std::fprintf(out, "    \"rows_reevaluated\": %zu,\n",
                stats.rows_reevaluated);
-  std::fprintf(out, "    \"cone_nodes\": %zu\n", stats.cone_nodes);
+  std::fprintf(out, "    \"cone_nodes\": %zu,\n", stats.cone_nodes);
+  std::fprintf(out, "    \"free_cols\": %zu,\n", stats.free_cols);
+  std::fprintf(out, "    \"active_rows\": %zu,\n", stats.active_rows);
+  std::fprintf(out, "    \"refit_solve_ms\": %.2f\n",
+               1000.0 * warm.solve_seconds);
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_solver_fastpath.json\n");

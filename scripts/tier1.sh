@@ -53,6 +53,11 @@
 # mgba_client (byte-identical transcript again) plus a kill -9 /
 # --recover round trip that must reproduce the session's slacks bit for
 # bit from the streamed recipe + ECO journal.
+# Last, the end-to-end benchmark's own test (perfbench/test_bench.py) runs
+# every workload at smoke size, untraced and traced, and checks that each
+# correctness gate passes on the real answers and fails on an injected
+# wrong one — so a change that breaks a benchmark gate fails here, not
+# first in a benchmark run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,4 +92,5 @@ for threads in 1 4; do
   ./scripts/server_smoke.sh build/tools/mgba_timer build/tools/mgba_client \
       examples/close_timing.mgbash examples/close_timing.golden "$threads"
 done
-echo "tier-1 OK (ctest + MGBA_SIMD=off/avx2 suite passes + TSan parallel/incremental/server/path-engine suites + ASan MCMM/shell/incremental/kernel/path-engine suites + shell and server smokes)"
+python3 perfbench/test_bench.py
+echo "tier-1 OK (ctest + MGBA_SIMD=off/avx2 suite passes + TSan parallel/incremental/server/path-engine suites + ASan MCMM/shell/incremental/kernel/path-engine suites + shell and server smokes + benchmark self-test)"

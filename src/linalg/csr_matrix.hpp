@@ -97,6 +97,18 @@ class CsrMatrix {
     void add(std::size_t j, double v) const { y[j] += v; }
   };
 
+  /// Sink adapter for row_dot_scatter that drops every column whose
+  /// \p mask entry is 0, so a masked scatter never touches (or marks) a
+  /// fixed column. \p mask has one entry per column.
+  template <typename Sink>
+  struct MaskedSink {
+    Sink& inner;
+    std::span<const std::uint8_t> mask;
+    void add(std::size_t j, double v) const {
+      if (mask[j] != 0) inner.add(j, v);
+    }
+  };
+
   /// Squared Euclidean norm of row i (cached; maintained on append and
   /// set_row_values).
   [[nodiscard]] double row_norm_sq(std::size_t i) const {

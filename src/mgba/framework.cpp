@@ -232,6 +232,10 @@ MgbaFlowResult MgbaRefitSession::fit() {
   // propagations, and a live snapshot would force each one to privatize
   // the whole arena for a view nobody will read again.
   fit_view_.reset();
+  // Release the previous fit's cached state before the cold flow builds
+  // the next one, so the two never coexist (peak memory).
+  paths_ = {};
+  problem_.reset();
   MgbaFlowResult result = run_mgba_flow_impl(*timer_, *table_, options_,
                                              &capture, &scratch_, path_hub_);
   paths_ = std::move(capture.paths);
@@ -251,6 +255,10 @@ MgbaFlowResult MgbaRefitSession::fit() {
 }
 
 void MgbaRefitSession::build_row_index() {
+  row_fitted_.assign(problem_->num_rows(), 0);
+  for (const std::size_t r : rows_) row_fitted_[r] = 1;
+  col_free_.assign(problem_->num_cols(), 0);
+
   const std::size_t num_nodes = timer_->graph().num_nodes();
   node_row_ptr_.assign(num_nodes + 1, 0);
   const std::size_t m = problem_->num_rows();
@@ -380,6 +388,35 @@ std::size_t MgbaRefitSession::collect_stale_rows(
     stats_.partition_rows_skipped = skipped;
   }
   return cone_.size();
+}
+
+void MgbaRefitSession::collect_block() {
+  const CsrMatrix& a = problem_->matrix();
+  std::fill(col_free_.begin(), col_free_.end(), 0);
+  stats_.free_cols = 0;
+  active_rows_.clear();
+  for (const std::size_t r : stale_rows_) {
+    if (!row_fitted_[r]) continue;
+    for (const std::uint32_t c : a.row(r).cols) {
+      if (!col_free_[c]) {
+        col_free_[c] = 1;
+        ++stats_.free_cols;
+      }
+    }
+  }
+  // One pass over the fitted rows' column indices (byte-flag lookups), far
+  // below the cost of the solve it confines.
+  if (stats_.free_cols > 0) {
+    for (const std::size_t r : rows_) {
+      for (const std::uint32_t c : a.row(r).cols) {
+        if (col_free_[c]) {
+          active_rows_.push_back(r);
+          break;
+        }
+      }
+    }
+  }
+  stats_.active_rows = active_rows_.size();
 }
 
 std::size_t MgbaRefitSession::add_version_diff_rows() {
@@ -514,8 +551,6 @@ MgbaFlowResult MgbaRefitSession::refit() {
       problem_->refresh_row(row, timer, paths_[problem_->row_path(row)],
                             fresh_timings_[k]);
     }
-    // Row norms moved: the cached Eq.-11 alias table is stale.
-    scratch_.alias_valid = false;
   }
 
   MgbaFlowResult result;
@@ -531,22 +566,32 @@ MgbaFlowResult MgbaRefitSession::refit() {
     result.violated_paths = violated;
   }
 
-  // Warm re-solve from the previous solution. The refit always uses the
-  // plain SCG kernel: Algorithm 1's doubling rounds exist to find a good
-  // subset from scratch, while here rows_ is already selected and x_ is
-  // already near the optimum.
-  SolveResult solved =
-      solve_scg(*problem_, rows_, options_.solver_options, x_, &scratch_);
-  result.solve_seconds = solved.seconds;
-  result.solver_iterations = solved.iterations;
+  // Block-coordinate re-solve, warm-started from the previous solution.
+  // Only the refreshed fitted rows changed, so the objective moved only
+  // through their columns: those are freed, the solve runs over the fitted
+  // rows touching them, and every other column keeps its value. It uses
+  // the plain SCG kernel: Algorithm 1's doubling rounds exist to find a
+  // good subset from scratch, while here rows_ is already selected.
+  collect_block();
+  if (!active_rows_.empty()) {
+    // The active row set (and refreshed row norms) differ per refit, and
+    // solve_scg would reuse a table of the same size: rebuild it.
+    scratch_.alias_valid = false;
+    SolveResult solved = solve_scg(*problem_, active_rows_,
+                                   options_.solver_options, x_, &scratch_,
+                                   col_free_);
+    result.solve_seconds = solved.seconds;
+    result.solver_iterations = solved.iterations;
+    x_ = std::move(solved.x);
+  }
 
   const std::vector<double> x0(problem_->num_cols(), 0.0);
   result.mse_before = modeling_mse(*problem_, x0);
-  result.mse_after = modeling_mse(*problem_, solved.x);
+  result.mse_after = modeling_mse(*problem_, x_);
   result.pass_ratio_before = pass_ratio(*problem_, x0).ratio();
-  result.pass_ratio_after = pass_ratio(*problem_, solved.x).ratio();
+  result.pass_ratio_after = pass_ratio(*problem_, x_).ratio();
 
-  result.instance_weights = problem_->to_instance_weights(solved.x);
+  result.instance_weights = problem_->to_instance_weights(x_);
   if (hold) {
     timer.set_instance_weights_early(corner, result.instance_weights);
   } else {
@@ -554,7 +599,6 @@ MgbaFlowResult MgbaRefitSession::refit() {
   }
   timer.update_timing();
 
-  x_ = std::move(solved.x);
   last_result_ = result;
   timer.reset_eco_log();
   // Re-capture: the refreshed weights are applied and propagated, so this
@@ -564,10 +608,12 @@ MgbaFlowResult MgbaRefitSession::refit() {
   result.total_seconds = total_watch.seconds();
   MGBA_LOG_INFO(
       "mGBA refit [%s]: %zu ECO instances -> cone %zu nodes, refreshed "
-      "%zu/%zu rows, mse %.4g -> %.4g, solve %.2fs",
+      "%zu/%zu rows, block %zu cols x %zu rows, mse %.4g -> %.4g, solve "
+      "%.2fs",
       timer.corner(corner).name.c_str(), stats_.eco_instances,
       stats_.cone_nodes, stats_.rows_reevaluated, stats_.rows_total,
-      result.mse_before, result.mse_after, result.solve_seconds);
+      stats_.free_cols, stats_.active_rows, result.mse_before,
+      result.mse_after, result.solve_seconds);
   return result;
 }
 

@@ -122,6 +122,12 @@ struct RefitStats {
   std::size_t cone_nodes = 0;        ///< nodes in the grown touched cone
   std::size_t warm_refits = 0;       ///< refits served incrementally
   std::size_t cold_rebuilds = 0;     ///< refits that fell back to fit()
+  /// The last refit's block solve: columns of the refreshed fitted rows
+  /// (the only columns it moved) and fitted rows touching one of them (the
+  /// rows it solved over). Both 0 when no fitted row was refreshed and the
+  /// solve was skipped.
+  std::size_t free_cols = 0;
+  std::size_t active_rows = 0;
   /// Region decomposition of the last refit, when the timer has a
   /// Partitioning installed (0 otherwise): regions the touched cone can
   /// influence (forward closure over the region quotient graph), cached
@@ -149,9 +155,14 @@ struct RefitStats {
 /// cached rows whose path intersects the cone via a node->rows inverted
 /// index, golden-PBA re-evaluates ONLY those rows (refreshing their matrix
 /// values in place — the sparsity pattern of a path never changes), and
-/// re-solves warm-started from the previous solution with the Eq.-11
-/// sampling state reused. A poisoned log (graph rebuild, corner change,
-/// derate reload, clock touch) falls back to a cold fit() automatically.
+/// re-solves only the block those rows moved: the columns of the refreshed
+/// fitted rows are freed, the solve runs warm-started over the fitted rows
+/// that touch a free column (its Eq.-11 sampling table rebuilt for that
+/// row set), and every other entry of the solution stays bit for bit —
+/// its rows did not change. That is an exact block-coordinate step on the
+/// Eq. (6) objective; with no fitted row refreshed the solve is skipped.
+/// A poisoned log (graph rebuild, corner change, derate reload, clock
+/// touch) falls back to a cold fit() automatically.
 ///
 /// Soundness of refreshing while the previous fit's weights stay applied:
 /// every refreshed quantity — base delays, derates, PBA slacks, endpoint
@@ -178,6 +189,20 @@ class MgbaRefitSession {
   [[nodiscard]] const RefitStats& stats() const { return stats_; }
   [[nodiscard]] const MgbaFlowOptions& options() const { return options_; }
 
+  /// The cached fit: its problem (nullptr before the first fit) and the
+  /// current column-space solution.
+  [[nodiscard]] const MgbaProblem* problem() const { return problem_.get(); }
+  [[nodiscard]] std::span<const double> solution() const { return x_; }
+  /// The last refit's block solve: the fitted rows it solved over and its
+  /// free-column mask (one entry per column). Empty / all zero when the
+  /// solve was skipped.
+  [[nodiscard]] std::span<const std::size_t> active_rows() const {
+    return active_rows_;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> free_col_mask() const {
+    return col_free_;
+  }
+
   /// Serves cold fits' candidate enumeration from \p hub's persistent
   /// PathEngine (nullptr to restore throwaway enumerators). Not owned;
   /// must outlive the session.
@@ -185,6 +210,10 @@ class MgbaRefitSession {
 
  private:
   void build_row_index();
+  /// Fills the block solve's free-column mask (col_free_) from the
+  /// refreshed fitted rows and its row set (active_rows_): the fitted rows
+  /// touching a free column, in rows_ order. Sets the block's RefitStats.
+  void collect_block();
   /// Marks rows whose path intersects the forward cone of the logged
   /// instances; fills stale_rows_. Returns the cone size.
   std::size_t collect_stale_rows(std::span<const InstanceId> touched);
@@ -234,6 +263,12 @@ class MgbaRefitSession {
   std::vector<std::uint8_t> row_stale_;
   std::vector<std::size_t> stale_rows_;
   std::vector<PathTiming> fresh_timings_;
+
+  // Block-solve scratch: row_fitted_ flags the rows of rows_; col_free_ is
+  // the solver's free-column mask.
+  std::vector<std::uint8_t> row_fitted_;
+  std::vector<std::uint8_t> col_free_;
+  std::vector<std::size_t> active_rows_;
 };
 
 }  // namespace mgba

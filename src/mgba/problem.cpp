@@ -263,16 +263,14 @@ void MgbaProblem::gradient(std::span<const double> x, double penalty_weight,
   gradient_rows(all_rows_, x, penalty_weight, g);
 }
 
-void MgbaProblem::gradient_rows(std::span<const std::size_t> rows,
-                                std::span<const double> x,
-                                double penalty_weight,
-                                std::span<double> g) const {
-  MGBA_CHECK(g.size() == num_cols());
-  const auto sweep = [&](std::size_t begin, std::size_t end,
-                         std::span<double> out) {
-    CsrMatrix::SpanSink sink{out};
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t i = rows[k];
+template <typename Sink>
+void MgbaProblem::scatter_rows(std::span<const std::size_t> rows,
+                               std::span<const double> x,
+                               double penalty_weight,
+                               std::span<const std::uint8_t> col_mask,
+                               Sink& sink) const {
+  const auto row_sweep = [&](auto& out) {
+    for (const std::size_t i : rows) {
       matrix_.row_dot_scatter(
           i, x,
           [&](double ax) {
@@ -282,8 +280,28 @@ void MgbaProblem::gradient_rows(std::span<const std::size_t> rows,
             }
             return coeff;
           },
-          sink);
+          out);
     }
+  };
+  if (col_mask.empty()) {
+    row_sweep(sink);
+  } else {
+    CsrMatrix::MaskedSink<Sink> masked{sink, col_mask};
+    row_sweep(masked);
+  }
+}
+
+void MgbaProblem::gradient_rows(std::span<const std::size_t> rows,
+                                std::span<const double> x,
+                                double penalty_weight, std::span<double> g,
+                                std::span<const std::uint8_t> col_mask) const {
+  MGBA_CHECK(g.size() == num_cols());
+  MGBA_CHECK(col_mask.empty() || col_mask.size() == num_cols());
+  const auto sweep = [&](std::size_t begin, std::size_t end,
+                         std::span<double> out) {
+    CsrMatrix::SpanSink span_sink{out};
+    scatter_rows(rows.subspan(begin, end - begin), x, penalty_weight,
+                 col_mask, span_sink);
   };
   std::fill(g.begin(), g.end(), 0.0);
   const std::size_t blocks = fixed_row_blocks(rows.size());
@@ -307,7 +325,9 @@ void MgbaProblem::gradient_rows(std::span<const std::size_t> rows,
 void MgbaProblem::gradient_rows_sparse(
     std::span<const std::size_t> rows, std::span<const double> x,
     double penalty_weight, SparseAccumulator& g,
-    std::vector<SparseAccumulator>& block_scratch) const {
+    std::vector<SparseAccumulator>& block_scratch,
+    std::span<const std::uint8_t> col_mask) const {
+  MGBA_CHECK(col_mask.empty() || col_mask.size() == num_cols());
   if (g.size() != num_cols()) {
     g.resize(num_cols());
   } else {
@@ -315,19 +335,8 @@ void MgbaProblem::gradient_rows_sparse(
   }
   const auto sweep = [&](std::size_t begin, std::size_t end,
                          SparseAccumulator& out) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t i = rows[k];
-      matrix_.row_dot_scatter(
-          i, x,
-          [&](double ax) {
-            double coeff = 2.0 * (ax - b_[i]);
-            if (violates(i, ax)) {
-              coeff += 2.0 * penalty_weight * (ax - bound_[i]);
-            }
-            return coeff;
-          },
-          out);
-    }
+    scatter_rows(rows.subspan(begin, end - begin), x, penalty_weight,
+                 col_mask, out);
   };
   const std::size_t blocks = fixed_row_blocks(rows.size());
   if (rows.size() < kParallelRowThreshold || blocks <= 1 ||

@@ -122,10 +122,14 @@ class MgbaProblem {
   /// Gradient restricted to the given rows (the stochastic estimator of
   /// Algorithm 2); \p g must have size num_cols(). Swept over the fixed
   /// block partition with per-block dense partial gradients combined in
-  /// block order (same determinism guarantee as objective_rows).
+  /// block order (same determinism guarantee as objective_rows). A
+  /// non-empty \p col_mask (one entry per column) drops every column whose
+  /// entry is 0 as the rows scatter, leaving it exact +0.0 in \p g — the
+  /// gradient of the block-coordinate subproblem over the free columns.
   void gradient_rows(std::span<const std::size_t> rows,
                      std::span<const double> x, double penalty_weight,
-                     std::span<double> g) const;
+                     std::span<double> g,
+                     std::span<const std::uint8_t> col_mask = {}) const;
 
   /// Sparse stochastic gradient: identical arithmetic to gradient_rows —
   /// same row partition, same per-row fused dot+scatter, block partials
@@ -133,12 +137,14 @@ class MgbaProblem {
   /// touching only the columns of the sampled rows. Cost is
   /// O(nnz of the sampled rows), not O(num_cols). \p g is resized/cleared
   /// here (O(previously touched)); \p block_scratch is the caller's reusable
-  /// per-block arena (grown on demand, cleared per use).
+  /// per-block arena (grown on demand, cleared per use). \p col_mask as in
+  /// gradient_rows: masked-out columns are never touched, so the support of
+  /// \p g stays within the free columns.
   void gradient_rows_sparse(std::span<const std::size_t> rows,
                             std::span<const double> x, double penalty_weight,
                             SparseAccumulator& g,
-                            std::vector<SparseAccumulator>& block_scratch)
-      const;
+                            std::vector<SparseAccumulator>& block_scratch,
+                            std::span<const std::uint8_t> col_mask = {}) const;
 
   /// Model slack of row i for solution x: s_gba,i(0) -/+ a_i.x
   /// (minus for Setup, plus for Hold).
@@ -154,6 +160,14 @@ class MgbaProblem {
                    const PathTiming& timing);
 
  private:
+  /// The per-row fused dot+scatter of the gradient sweeps: adds the Eq. (6)
+  /// gradient of each of \p rows into \p sink, in row order, dropping the
+  /// columns \p col_mask (when non-empty) marks fixed.
+  template <typename Sink>
+  void scatter_rows(std::span<const std::size_t> rows,
+                    std::span<const double> x, double penalty_weight,
+                    std::span<const std::uint8_t> col_mask, Sink& sink) const;
+
   /// True if row i violates the no-optimism bound at value ax = a_i.x.
   [[nodiscard]] bool violates(std::size_t row, double ax) const;
 

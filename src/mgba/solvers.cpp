@@ -45,6 +45,27 @@ void reset_accumulator(SparseAccumulator& a, std::size_t n) {
   }
 }
 
+/// relative_change(a, b) over the free columns of \p mask only, in the same
+/// ascending order — the convergence measure of a masked solve, whose fixed
+/// columns never move and so must not dilute the relative change.
+double masked_relative_change(std::span<const double> a,
+                              std::span<const double> b,
+                              std::span<const std::uint8_t> mask) {
+  double diff_sq = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (mask[i] == 0) continue;
+    const double d = a[i] - b[i];
+    diff_sq += d * d;
+  }
+  double base_sq = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (mask[i] != 0) base_sq += b[i] * b[i];
+  }
+  const double base = std::sqrt(base_sq);
+  if (base == 0.0) return std::sqrt(diff_sq);
+  return std::sqrt(diff_sq) / base;
+}
+
 /// Builds (or reuses, when the caller vouches via alias_valid) the Eq.-11
 /// sampling state in \p scratch. Returns false on the degenerate
 /// all-zero-norm problem (nothing to fit).
@@ -78,13 +99,22 @@ bool ensure_sampling_state(const MgbaProblem& problem,
 
 /// Algorithm 2, dense reference path: every per-iteration vector op runs
 /// over all num_cols() entries. Kept verbatim as the ablation baseline the
-/// sparse path is asserted bit-identical against.
+/// sparse path is asserted bit-identical against. Under a free-column
+/// \p mask the gradient drops fixed columns as it accumulates (so they
+/// stay exact zeros in g and d, and x never moves on them) and the
+/// convergence tests measure the free columns only.
 SolveResult solve_scg_dense(const MgbaProblem& problem,
                             std::span<const std::size_t> rows,
                             const SolverOptions& options,
                             std::span<const double> x0,
-                            SolverScratch& scratch) {
+                            SolverScratch& scratch,
+                            std::span<const std::uint8_t> mask) {
   const std::size_t n = problem.num_cols();
+  const auto rel_change = [&](std::span<const double> a,
+                              std::span<const double> b) {
+    return mask.empty() ? relative_change(a, b)
+                        : masked_relative_change(a, b, mask);
+  };
   Rng rng(options.seed);
   const AliasTable& alias = *scratch.alias;
 
@@ -107,7 +137,7 @@ SolveResult solve_scg_dense(const MgbaProblem& problem,
     for (std::size_t s = 0; s < k_rows; ++s) sampled[s] = rows[alias.draw(rng)];
 
     // Line 5: stochastic gradient on the sampled rows.
-    problem.gradient_rows(sampled, x, options.penalty_weight, g);
+    problem.gradient_rows(sampled, x, options.penalty_weight, g, mask);
     const double g_norm = norm2(g);
     if (g_norm == 0.0) break;
     // Line 6: normalize.
@@ -150,13 +180,13 @@ SolveResult solve_scg_dense(const MgbaProblem& problem,
       // at checkpoints (the raw iterate moves a fixed s every step, so the
       // paper's per-step test never fires with a constant step size).
       if (result.iterations % 100 == 0) {
-        if (relative_change(x_avg, checkpoint) <= options.convergence_tol) {
+        if (rel_change(x_avg, checkpoint) <= options.convergence_tol) {
           break;
         }
         checkpoint = x_avg;
       }
     } else if (iter > 0 &&
-               relative_change(x, x_prev) <= options.convergence_tol) {
+               rel_change(x, x_prev) <= options.convergence_tol) {
       break;  // Line 2, literal form.
     }
   }
@@ -174,12 +204,15 @@ SolveResult solve_scg_dense(const MgbaProblem& problem,
 /// Every sum runs over the relevant support in ascending index order, so
 /// each partial sum sees exactly the nonzero terms the dense path sees, in
 /// the same order — the skipped terms are exact +0.0 additive identities —
-/// which makes the result bit-identical to solve_scg_dense.
+/// which makes the result bit-identical to solve_scg_dense. Under a
+/// free-column \p mask every support (g, d, and the iterate's) stays within
+/// the free columns, so a block solve costs O(free columns), not O(n).
 SolveResult solve_scg_sparse(const MgbaProblem& problem,
                              std::span<const std::size_t> rows,
                              const SolverOptions& options,
                              std::span<const double> x0,
-                             SolverScratch& scratch) {
+                             SolverScratch& scratch,
+                             std::span<const std::uint8_t> mask) {
   const std::size_t n = problem.num_cols();
   Rng rng(options.seed);
   const AliasTable& alias = *scratch.alias;
@@ -198,11 +231,11 @@ SolveResult solve_scg_sparse(const MgbaProblem& problem,
   reset_accumulator(g_prev, n);
   reset_accumulator(d, n);
   reset_accumulator(xs, n);
-  // A warm start's nonzeros join the support (x never holds -0.0: it only
-  // ever accumulates += terms from +0.0 starts, and IEEE round-to-nearest
-  // addition yields -0.0 only from two negative zeros).
+  // A warm start's free nonzeros join the support (x never holds -0.0: it
+  // only ever accumulates += terms from +0.0 starts, and IEEE
+  // round-to-nearest addition yields -0.0 only from two negative zeros).
   for (std::size_t j = 0; j < n; ++j) {
-    if (x[j] != 0.0) xs.touch(j);
+    if (x[j] != 0.0 && (mask.empty() || mask[j] != 0)) xs.touch(j);
   }
   std::vector<double> x_avg = x;
   std::vector<double> checkpoint = x;
@@ -216,7 +249,7 @@ SolveResult solve_scg_sparse(const MgbaProblem& problem,
 
     // Line 5: stochastic gradient on the sampled rows (O(batch nnz)).
     problem.gradient_rows_sparse(sampled, x, options.penalty_weight, g,
-                                 scratch.gradient_blocks);
+                                 scratch.gradient_blocks, mask);
     double g_norm_sq = 0.0;
     g.for_each([&](std::size_t, double v) { g_norm_sq += v * v; });
     const double g_norm = std::sqrt(g_norm_sq);
@@ -423,25 +456,32 @@ SolveResult solve_gradient_descent(const MgbaProblem& problem,
 SolveResult solve_scg(const MgbaProblem& problem,
                       std::span<const std::size_t> rows_in,
                       const SolverOptions& options,
-                      std::span<const double> x0, SolverScratch* scratch_in) {
+                      std::span<const double> x0, SolverScratch* scratch_in,
+                      std::span<const std::uint8_t> free_cols) {
   const Stopwatch watch;
   const std::span<const std::size_t> rows = resolve_rows(problem, rows_in);
+  MGBA_CHECK(free_cols.empty() || free_cols.size() == problem.num_cols());
   SolverScratch local;
   SolverScratch& scratch = scratch_in ? *scratch_in : local;
 
   if (!ensure_sampling_state(problem, rows, scratch)) {
-    // Degenerate problem: nothing to fit.
+    // Degenerate problem: nothing to fit. A block solve leaves every
+    // column where it was.
     SolveResult result;
-    result.x.assign(problem.num_cols(), 0.0);
+    if (free_cols.empty()) {
+      result.x.assign(problem.num_cols(), 0.0);
+    } else {
+      result.x = initial_x(problem, x0);
+    }
     result.seconds = watch.seconds();
     return result;
   }
 
   SolveResult result = options.use_sparse_gradient
                            ? solve_scg_sparse(problem, rows, options, x0,
-                                              scratch)
+                                              scratch, free_cols)
                            : solve_scg_dense(problem, rows, options, x0,
-                                             scratch);
+                                             scratch, free_cols);
   result.seconds = watch.seconds();
   return result;
 }

@@ -128,11 +128,20 @@ SolveResult solve_gradient_descent(const MgbaProblem& problem,
                                    std::span<const double> x0 = {});
 
 /// Algorithm 2 over \p rows (empty span = all rows).
+///
+/// A non-empty \p free_cols (one entry per column) makes this an exact
+/// block-coordinate solve of the same objective: only columns with a
+/// nonzero entry move, every other column of the result equals \p x0 bit
+/// for bit, and the gradient, the iterate support and the convergence test
+/// are confined to the free columns (fixed columns are dropped as the
+/// gradient accumulates), so the per-iteration cost is O(free columns).
+/// An empty mask runs the unmasked solver unchanged.
 SolveResult solve_scg(const MgbaProblem& problem,
                       std::span<const std::size_t> rows,
                       const SolverOptions& options,
                       std::span<const double> x0 = {},
-                      SolverScratch* scratch = nullptr);
+                      SolverScratch* scratch = nullptr,
+                      std::span<const std::uint8_t> free_cols = {});
 
 /// Algorithm 1 + Algorithm 2 over \p rows (empty span = all rows).
 SolveResult solve_scg_with_row_sampling(const MgbaProblem& problem,

@@ -14,6 +14,7 @@
 #include "mgba/solvers.hpp"
 #include "pba/path_enum.hpp"
 #include "test_helpers.hpp"
+#include "util/float_bits.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -92,11 +93,47 @@ class SolverFastpathTest : public ::testing::Test {
     return options;
   }
 
+  /// A block-coordinate subproblem shaped like a refit's: the columns of
+  /// every 23rd row are free, the active rows are the rows touching a free
+  /// column, and the warm start is a full solve's (mostly nonzero) x.
+  struct Block {
+    std::vector<std::uint8_t> mask;
+    std::vector<std::size_t> rows;
+    std::vector<double> x0;
+    std::size_t free = 0;
+  };
+  Block make_block() const {
+    Block block;
+    const CsrMatrix& a = problem_->matrix();
+    block.mask.assign(problem_->num_cols(), 0);
+    for (std::size_t r = 0; r < a.num_rows(); r += 23) {
+      for (const std::uint32_t c : a.row(r).cols) block.mask[c] = 1;
+    }
+    for (std::size_t r = 0; r < a.num_rows(); ++r) {
+      for (const std::uint32_t c : a.row(r).cols) {
+        if (block.mask[c]) {
+          block.rows.push_back(r);
+          break;
+        }
+      }
+    }
+    for (const std::uint8_t m : block.mask) block.free += m;
+    block.x0 = solve_scg(*problem_, {}, solver_options()).x;
+    return block;
+  }
+
   GeneratedStack stack_;
   PathEvaluator evaluator_;
   std::vector<TimingPath> paths_;
   std::unique_ptr<MgbaProblem> problem_;
 };
+
+void expect_bit_identical(std::span<const double> a, std::span<const double> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    EXPECT_EQ(float_bits(a[j]), float_bits(b[j])) << "column " << j;
+  }
+}
 
 // --- sparse gradient kernel ------------------------------------------------
 
@@ -188,6 +225,116 @@ TEST_F(SolverFastpathTest, WarmStartConvergesToSameQuality) {
   EXPECT_LE(warm.final_objective, cold.final_objective * (1.0 + 1e-9));
 }
 
+// --- free-column mask (the refit's block-coordinate solve) ------------------
+
+TEST_F(SolverFastpathTest, MaskedGradientDropsFixedColumns) {
+  const Block block = make_block();
+  ASSERT_GT(block.free, 0u);
+  ASSERT_LT(block.free, problem_->num_cols());
+  // Every row, so the sweep takes the parallel block-partial path.
+  const std::span<const std::size_t> rows = problem_->all_rows();
+  ASSERT_GE(rows.size(), 200u);
+
+  std::vector<double> full(problem_->num_cols(), 0.0);
+  problem_->gradient_rows(rows, block.x0, 10.0, full);
+  std::vector<double> dense(problem_->num_cols(), 0.0);
+  problem_->gradient_rows(rows, block.x0, 10.0, dense, block.mask);
+  SparseAccumulator sparse;
+  std::vector<SparseAccumulator> scratch;
+  problem_->gradient_rows_sparse(rows, block.x0, 10.0, sparse, scratch,
+                                 block.mask);
+
+  for (std::size_t j = 0; j < problem_->num_cols(); ++j) {
+    EXPECT_EQ(float_bits(dense[j]), float_bits(sparse[j])) << "column " << j;
+    if (block.mask[j]) {
+      EXPECT_EQ(float_bits(dense[j]), float_bits(full[j])) << "column " << j;
+    } else {
+      // Dropped while accumulating: never in the support, exact +0.0.
+      EXPECT_FALSE(sparse.touched(j)) << "column " << j;
+      EXPECT_EQ(float_bits(dense[j]), float_bits(0.0)) << "column " << j;
+    }
+  }
+}
+
+TEST_F(SolverFastpathTest, MaskedSparseScgBitIdenticalToDense) {
+  const Block block = make_block();
+  // The default batch (serial gradient), a half-row batch (parallel block
+  // partials under the mask), and loose tolerances under which the
+  // averaged and the literal convergence tests stop the solve early — so
+  // both measure the same (free) columns.
+  struct Case {
+    double row_fraction, convergence_tol, iterate_averaging;
+  };
+  for (const Case c : {Case{0.02, 1e-3, 0.02}, Case{0.5, 1e-3, 0.02},
+                       Case{0.02, 3e-2, 0.02}, Case{0.02, 2.2e-2, 0.0}}) {
+    SolverOptions options = solver_options();
+    options.row_fraction = c.row_fraction;
+    options.convergence_tol = c.convergence_tol;
+    options.iterate_averaging = c.iterate_averaging;
+    options.use_sparse_gradient = false;
+    const SolveResult dense =
+        solve_scg(*problem_, block.rows, options, block.x0, nullptr,
+                  block.mask);
+    options.use_sparse_gradient = true;
+    const SolveResult sparse =
+        solve_scg(*problem_, block.rows, options, block.x0, nullptr,
+                  block.mask);
+    EXPECT_GT(sparse.iterations, 0u);
+    EXPECT_EQ(dense.iterations, sparse.iterations);
+    EXPECT_EQ(float_bits(dense.final_objective),
+              float_bits(sparse.final_objective));
+    expect_bit_identical(dense.x, sparse.x);
+  }
+}
+
+TEST_F(SolverFastpathTest, MaskedScgKeepsFixedColumnsAtWarmStart) {
+  const Block block = make_block();
+  for (const bool sparse_path : {true, false}) {
+    SolverOptions options = solver_options();
+    options.use_sparse_gradient = sparse_path;
+    SolverScratch scratch;
+    const SolveResult solved = solve_scg(*problem_, block.rows, options,
+                                         block.x0, &scratch, block.mask);
+    std::size_t moved = 0;
+    for (std::size_t j = 0; j < problem_->num_cols(); ++j) {
+      if (block.mask[j]) {
+        moved += solved.x[j] != block.x0[j];
+      } else {
+        EXPECT_EQ(float_bits(solved.x[j]), float_bits(block.x0[j]))
+            << "fixed column " << j;
+      }
+    }
+    EXPECT_GT(moved, 0u);
+    if (sparse_path) {
+      // The supports never grew onto a fixed column: the per-iteration
+      // sweeps stayed O(free columns).
+      for (std::size_t j = 0; j < problem_->num_cols(); ++j) {
+        if (block.mask[j]) continue;
+        EXPECT_FALSE(scratch.x_support.touched(j)) << "column " << j;
+        EXPECT_FALSE(scratch.d.touched(j)) << "column " << j;
+      }
+      EXPECT_LE(scratch.x_support.touched_count(), block.free);
+    }
+  }
+}
+
+TEST_F(SolverFastpathTest, MaskedScgBitIdenticalAcrossThreads) {
+  ThreadGuard guard;
+  const Block block = make_block();
+  SolverOptions options = solver_options();
+  options.row_fraction = 0.5;  // parallel gradient partials
+
+  set_num_threads(1);
+  const SolveResult one =
+      solve_scg(*problem_, block.rows, options, block.x0, nullptr, block.mask);
+  set_num_threads(4);
+  const SolveResult four =
+      solve_scg(*problem_, block.rows, options, block.x0, nullptr, block.mask);
+
+  EXPECT_EQ(one.iterations, four.iterations);
+  expect_bit_identical(one.x, four.x);
+}
+
 // --- incremental refit session ---------------------------------------------
 
 MgbaFlowOptions refit_flow_options() {
@@ -200,11 +347,11 @@ MgbaFlowOptions refit_flow_options() {
   return options;
 }
 
-TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
-  // A blocked design: taps never cross blocks, so an ECO's cone — and
-  // hence the stale row set — is confined to the touched blocks. This is
-  // the SoC-like shape the incremental refit is built for; on a tiny
-  // single-cone design most paths genuinely overlap any ECO.
+/// A blocked design: taps never cross blocks, so an ECO's cone — and hence
+/// the stale row set — is confined to the touched blocks. This is the
+/// SoC-like shape the incremental refit is built for; on a tiny
+/// single-cone design most paths genuinely overlap any ECO.
+GeneratorOptions blocked_options() {
   GeneratorOptions opt;
   opt.seed = 92;
   opt.num_gates = 3200;
@@ -213,7 +360,11 @@ TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
   opt.num_outputs = 32;
   opt.target_depth = 24;
   opt.num_blocks = 32;
-  GeneratedStack stack(opt, 1800.0);
+  return opt;
+}
+
+TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
+  GeneratedStack stack(blocked_options(), 1800.0);
   MgbaRefitSession session(*stack.timer, stack.table, refit_flow_options());
   const MgbaFlowResult cold = session.fit();
   ASSERT_TRUE(session.has_fit());
@@ -234,8 +385,73 @@ TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
             0.10 * static_cast<double>(stats.rows_total))
       << stats.rows_reevaluated << " of " << stats.rows_total
       << " rows re-evaluated";
+  // The block solve is confined the same way: it frees the refreshed
+  // rows' columns and solves over a small fraction of the rows.
+  EXPECT_GT(stats.free_cols, 0u);
+  EXPECT_GT(stats.active_rows, 0u);
+  EXPECT_LT(static_cast<double>(stats.active_rows),
+            0.25 * static_cast<double>(stats.rows_total))
+      << stats.active_rows << " of " << stats.rows_total << " rows solved";
+  EXPECT_EQ(session.active_rows().size(), stats.active_rows);
   // And the refit still improves the model like a fit does.
   EXPECT_LE(warm.mse_after, warm.mse_before);
+}
+
+TEST(SolverFastpathRefit, RefitSkipsSolveWhenNoFittedRowIsStale) {
+  // Cap the fit at the 16 globally worst paths: most candidate rows stay
+  // unfitted, and this ECO's cone refreshes only such rows.
+  GeneratedStack stack(blocked_options(), 1800.0);
+  MgbaFlowOptions options = refit_flow_options();
+  options.max_paths = 16;
+  MgbaRefitSession session(*stack.timer, stack.table, options);
+  const MgbaFlowResult cold = session.fit();
+  ASSERT_EQ(cold.fitted_paths, 16u);
+  const std::vector<double> fitted(session.solution().begin(),
+                                   session.solution().end());
+
+  apply_small_eco(stack, 1, 1);
+  const MgbaFlowResult warm = session.refit();
+  const RefitStats& stats = session.stats();
+  ASSERT_EQ(stats.warm_refits, 1u);
+  ASSERT_GT(stats.rows_reevaluated, 0u);
+  EXPECT_EQ(stats.free_cols, 0u);
+  EXPECT_EQ(stats.active_rows, 0u);
+  EXPECT_EQ(warm.solver_iterations, 0u);
+  // The fitted rows did not change, so neither may the solution.
+  expect_bit_identical(session.solution(), fitted);
+  expect_bit_identical(warm.instance_weights, cold.instance_weights);
+}
+
+TEST(SolverFastpathRefit, BackToBackBlockRefitsRebuildSamplingTable) {
+  // Two single-gate ECOs in different blocks whose block solves have the
+  // same number of active rows: solve_scg would reuse a cached Eq.-11
+  // table of that size, so each refit must match a fresh-scratch solve of
+  // its own block bit for bit.
+  GeneratedStack stack(blocked_options(), 1800.0);
+  const MgbaFlowOptions options = refit_flow_options();
+  MgbaRefitSession session(*stack.timer, stack.table, options);
+  session.fit();
+  ASSERT_TRUE(session.has_fit());
+
+  std::vector<std::vector<std::size_t>> active_sets;
+  for (const std::uint64_t eco_seed : {12, 15}) {
+    const std::vector<double> x_before(session.solution().begin(),
+                                       session.solution().end());
+    apply_small_eco(stack, 1, eco_seed);
+    session.refit();
+    ASSERT_GT(session.stats().active_rows, 0u);
+    active_sets.emplace_back(session.active_rows().begin(),
+                             session.active_rows().end());
+
+    SolverScratch fresh;
+    const SolveResult reference =
+        solve_scg(*session.problem(), session.active_rows(),
+                  options.solver_options, x_before, &fresh,
+                  session.free_col_mask());
+    expect_bit_identical(session.solution(), reference.x);
+  }
+  ASSERT_EQ(active_sets[0].size(), active_sets[1].size());
+  EXPECT_NE(active_sets[0], active_sets[1]);
 }
 
 TEST(SolverFastpathRefit, RefitMatchesColdRebuildWithinTolerance) {
@@ -345,8 +561,12 @@ TEST(SolverFastpathRefit, WarmRefitBitIdenticalAcrossThreads) {
     GeneratedStack stack(small_options(96), 1800.0);
     MgbaRefitSession session(*stack.timer, stack.table, refit_flow_options());
     session.fit();
-    apply_small_eco(stack, 2, 53);
+    // This ECO refreshes fitted rows, so the threads share real work:
+    // parallel row re-evaluation and a non-empty block solve.
+    apply_small_eco(stack, 2, 55);
     const MgbaFlowResult warm = session.refit();
+    EXPECT_GT(session.stats().rows_reevaluated, 0u);
+    EXPECT_GT(session.stats().active_rows, 0u);
     weights.push_back(warm.instance_weights);
   }
   ASSERT_EQ(weights[0].size(), weights[1].size());

@@ -15,13 +15,8 @@
 # both: TSan because the sparse gradient's block partials and the refit's
 # parallel path re-evaluation write shared scratch from pool workers, ASan
 # because the refit session indexes cached rows/paths through arrays that
-# a stale size after an ECO would overrun. The partition suite joins both
-# for the same reasons: under TSan because same-wave region sweeps run on
-# pool workers and push frontier pending flags / arc-change flags
-# concurrently, and under ASan because the frontier's pending and
-# level-bucket flags index per-node and per-(region, level) arrays that a
-# stale partitioning would overrun. The snapshot suite joins both: under
-# TSan because the concurrent-reader stress has pool-independent reader
+# a stale size after an ECO would overrun. The snapshot suite joins both:
+# under TSan because the concurrent-reader stress has pool-independent reader
 # threads scanning a pinned snapshot's chunks while the writer privatizes
 # and re-times the head (the COW refcounts and chunk handoff must be
 # race-free), and under ASan because releasing the last snapshot handle
@@ -77,11 +72,11 @@ fi
 
 cmake -B build-tsan -S . -DMGBA_SANITIZE=thread
 cmake --build build-tsan -j --target mgba_tests
-MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Incremental*:SolverFastpath*:Partition*:Snapshot*:Server*:PathEngine*'
+MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Incremental*:SolverFastpath*:Snapshot*:Server*:PathEngine*'
 
 cmake -B build-asan -S . -DMGBA_SANITIZE=address
 cmake --build build-asan -j --target mgba_tests
-MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Partition*:Snapshot*:Server*:Kernel*:PathEngine*'
+MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Snapshot*:Server*:Kernel*:PathEngine*'
 
 for threads in 1 4; do
   ./scripts/shell_smoke.sh build/tools/mgba_timer \

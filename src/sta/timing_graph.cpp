@@ -175,8 +175,7 @@ void TimingGraph::renumber_level_contiguous() {
   // New id order: concatenated level buckets, ascending build-order id
   // within each level (any within-level order is valid — bucket members
   // have no mutual dependencies — and ascending build order keeps the ids
-  // of one instance's same-level pins adjacent, which is what compresses
-  // the per-(region, level) buckets of a Partitioning into short runs).
+  // of one instance's same-level pins adjacent).
   std::size_t next = 0;
   for (auto& bucket : level_nodes_) {
     std::sort(bucket.begin(), bucket.end());

@@ -21,7 +21,6 @@
 
 #include "netlist/design.hpp"
 #include "sta/kernels.hpp"
-#include "sta/partition.hpp"
 #include "sta/state_signature.hpp"
 #include "sta/timer.hpp"
 #include "test_helpers.hpp"
@@ -418,27 +417,6 @@ TEST(KernelSweep, RenumberedLayoutBitIdenticalToOriginal) {
     GeneratedStack original(small_options(901), 4000.0, GraphLayout::Original);
     const auto a = sweep_trace(contiguous, 911);
     const auto b = sweep_trace(original, 911);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(same_bits(a[i], b[i]))
-          << "step " << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(KernelSweep, PartitionedRenumberedMatchesFlatOriginal) {
-  ThreadGuard thread_guard;
-  DispatchGuard guard;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    set_num_threads(threads);
-    GeneratedStack part(small_options(902), 4000.0,
-                        GraphLayout::LevelContiguous);
-    GeneratedStack flat(small_options(902), 4000.0, GraphLayout::Original);
-    PartitionOptions options;
-    options.num_partitions = 4;
-    part.timer->set_partitioning(options);
-    const auto a = sweep_trace(part, 922);
-    const auto b = sweep_trace(flat, 922);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_TRUE(same_bits(a[i], b[i]))
